@@ -762,8 +762,11 @@ impl Planner {
     fn top_counts_cost(&self, p: usize, aggregate: f64, k: f64) -> PredictedComm {
         let pf = p.max(1) as f64;
         if k >= aggregate {
+            // Distinct count, the selection's size count and its max-reduction
+            // of an optional item (one presence word plus the item).
             return predict::allreduce(p, 1.0)
-                .plus(predict::allreduce(p, 2.0))
+                .plus(predict::allreduce(p, 1.0))
+                .plus(predict::allreduce(p, 1.0 + SELECTION_ITEM_WORDS))
                 .plus(predict::allgather(p, 2.0 * aggregate / pf));
         }
         predict::allreduce(p, 1.0)
@@ -784,21 +787,22 @@ impl Planner {
     }
 }
 
-/// The §4.1 unsorted selection over `total` 2-word items spread across `p`
-/// PEs: per level one count all-reduction, the ~√p̄-element Bernoulli-sample
-/// all-gather and the partition-count vector all-reduction; the ≤ 1024
-/// survivors are all-gathered in the base case.
+/// The §4.1 unsorted selection over `total` items spread across `p` PEs:
+/// the entry size all-reduction, then per level the ~√p̄-item
+/// Bernoulli-sample all-gather and the 4-word range-count all-reduction;
+/// the ≤ 1024 survivors are all-gathered in the base case.  Items go on the
+/// wire as their own [`SELECTION_ITEM_WORDS`], with no tie-breaking tag, and
+/// the `(count, key)` pairs are unique, so resolving ties sends nothing.
 fn selection_cost(p: usize, total: f64) -> PredictedComm {
     const BASE_CASE: f64 = 1024.0;
     let pf = p.max(1) as f64;
-    let mut comm = PredictedComm::zero();
+    let mut comm = predict::allreduce(p, 1.0);
     let mut t = total.max(0.0);
     let mut levels = 0;
     while t > BASE_CASE && levels < 16 {
         let sample = pf.sqrt();
         comm = comm
-            .plus(predict::allreduce(p, 1.0))
-            .plus(predict::allgather(p, 2.0 * sample / pf))
+            .plus(predict::allgather(p, SELECTION_ITEM_WORDS * sample / pf))
             .plus(predict::allreduce(p, 4.0));
         // One level narrows the candidates to the bracket between adjacent
         // sample elements around the target rank: ≈ total/√p̄ in expectation
@@ -806,8 +810,14 @@ fn selection_cost(p: usize, total: f64) -> PredictedComm {
         t = (2.0 * t / sample.max(1.5)).max(BASE_CASE / 2.0);
         levels += 1;
     }
-    comm.plus(predict::allgather(p, 2.0 * t.min(BASE_CASE) / pf))
+    comm.plus(predict::allgather(
+        p,
+        SELECTION_ITEM_WORDS * t.min(BASE_CASE) / pf,
+    ))
 }
+
+/// Words per selected `(count, key)` item on the wire.
+const SELECTION_ITEM_WORDS: f64 = 2.0;
 
 #[cfg(test)]
 mod tests {

@@ -81,7 +81,7 @@ pub fn select_k_smallest_recoverable<C: Communicator>(
     )
 }
 
-/// Run `phases` repetitions of the counts-only [`select_threshold`] kernel
+/// Run `phases` repetitions of the threshold-only [`select_threshold`] kernel
 /// with crash-stop recovery.  Same shape as
 /// [`select_k_smallest_recoverable`] without the element redistribution.
 ///

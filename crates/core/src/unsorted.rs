@@ -3,32 +3,37 @@
 //! This is the paper's Algorithm 1 — a distributed Floyd–Rivest-style
 //! selection.  Each level of recursion takes a Bernoulli sample of the
 //! remaining elements (expected size `O(√p)` in total), picks two pivots
-//! bracketing the target rank from the sorted sample, partitions the local
-//! data into the three ranges `a < ℓ`, `ℓ ≤ b ≤ r`, `c > r`, counts the
-//! ranges with a vector all-reduction and recurses into the range containing
-//! the target rank.  Theorem 1 shows the algorithm needs neither randomly
-//! distributed input nor any data redistribution: expected time
-//! `O(n/p + β·min(√p·log_p n, n/p) + α log n)`.
+//! `ℓ ≤ r` bracketing the target rank from the sorted sample, counts the
+//! local elements `< ℓ`, `== ℓ`, strictly between, `== r` and `> r` in one
+//! branchless sweep ([`partition_pivot_counts`]), sums the counts with one
+//! all-reduction and either stops — the target rank falls on a pivot value —
+//! or recurses into the strict value range containing it.  Theorem 1 shows
+//! the algorithm needs neither randomly distributed input nor any data
+//! redistribution: expected time `O(n/p + β·min(√p·log_p n, n/p) + α log n)`.
 //!
-//! The public entry points return both the *threshold* (the element of global
-//! rank `k` under a tie-broken total order) and each PE's local part of the
-//! selected set, whose sizes sum to exactly `k` across all PEs.
+//! The recursion runs on plain values.  A unique order matters for one thing
+//! only, cutting at exactly `k` elements when the threshold value occurs
+//! several times; [`select_k_smallest`] resolves that once, at the end, from
+//! per-PE copy counts (the first copies in PE-rank, then local-position
+//! order are selected).  Every narrowing drops the pivot values, so each
+//! level either stops or strictly shrinks the problem, however many
+//! duplicates the input holds.
 
-use std::ops::Bound;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
 use commsim::{CommData, Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain, BernoulliSampler};
-use seqkit::select::partition_three_way_counts;
-
-use crate::util::tag_unique;
+use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain};
+use seqkit::select::partition_pivot_counts;
 
 /// Result of a distributed unsorted selection.
 #[derive(Debug, Clone)]
 pub struct UnsortedSelectionResult<T> {
-    /// The element of global rank `k` (1-based) under the tie-broken order —
-    /// the selection "threshold".
+    /// The element of global rank `k` (1-based) — the selection
+    /// "threshold".
     pub threshold: T,
     /// This PE's elements among the `k` globally smallest.  The lengths of
     /// these vectors over all PEs sum to exactly `k`.
@@ -69,8 +74,9 @@ impl Default for UnsortedSelectionConfig {
 /// Select the `k` globally smallest elements of the distributed input.
 ///
 /// `local` is this PE's part of the input; `k` counts over the union of all
-/// PEs' parts and must satisfy `1 ≤ k ≤ Σ|local|`.  Ties are broken by a
-/// global index, so exactly `k` elements are selected in total.
+/// PEs' parts and must satisfy `1 ≤ k ≤ Σ|local|`.  Copies of the threshold
+/// value are taken in PE-rank, then local-position order, so exactly `k`
+/// elements are selected in total.
 pub fn select_k_smallest<C, T>(
     comm: &C,
     local: &[T],
@@ -96,48 +102,22 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
-    let total = comm.allreduce_sum(local.len() as u64) as usize;
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= total, "k = {k} exceeds the global input size {total}");
-
-    // Make the order unique: (value, global index).
-    let offset = comm.prefix_sum_exclusive(local.len() as u64);
-    let tagged = tag_unique(local, offset);
-
-    let mut rng =
-        StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let mut levels = 0usize;
-    // The recursion consumes (and shrinks) the tagged buffer; the selected
-    // set is recovered afterwards directly from `local` and the offset, so no
-    // second tagged copy is ever materialised.
-    let threshold_tagged = select_recursive(comm, tagged, k, &mut rng, &mut levels, &config);
-
-    let local_selected: Vec<T> = local
-        .iter()
-        .enumerate()
-        .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold_tagged.0, threshold_tagged.1))
-        .map(|(_, v)| v.clone())
-        .collect();
+    let (cut, recursion_levels) = select_cut(comm, local, k, seed, &config);
+    let local_selected = resolve_ties(comm, local, &cut);
     UnsortedSelectionResult {
-        threshold: threshold_tagged.0,
+        threshold: cut.threshold,
         local_selected,
-        recursion_levels: levels,
+        recursion_levels,
     }
 }
 
 /// Select only the threshold (the element of global rank `k`), without
 /// materialising the selected set.
 ///
-/// Unlike [`select_k_smallest`], this runs a **counts-only** recursion
-/// (`threshold_recursive`): the input is never tagged, cloned or narrowed —
-/// the survivor set is tracked as an interval of the tie-broken total order
-/// and re-derived on the fly during each level's counting sweep.  Elements
-/// are only ever cloned when they go on the wire (pivot samples and the
-/// final base-case gather), so non-`Copy` payloads pay zero local copies on
-/// the narrowing path.  The RNG stream, recursion path and every message on
-/// the wire are bit-identical to [`select_k_smallest`] with the same
-/// arguments (pinned by `threshold_only_path_is_bit_identical_to_the_full_path`
-/// below), so the fig6 words/PE columns apply to both entry points.
+/// This runs the same recursion as [`select_k_smallest`] — same RNG stream,
+/// same messages — and skips only its final tie-resolution step (at most
+/// one exclusive prefix sum), pinned by
+/// `threshold_only_path_is_the_full_path_minus_tie_resolution` below.
 pub fn select_threshold<C, T>(comm: &C, local: &[T], k: usize, seed: u64) -> T
 where
     C: Communicator,
@@ -158,187 +138,7 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
-    let total = comm.allreduce_sum(local.len() as u64) as usize;
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= total, "k = {k} exceeds the global input size {total}");
-
-    let offset = comm.prefix_sum_exclusive(local.len() as u64);
-    let mut rng =
-        StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let mut levels = 0usize;
-    threshold_recursive(comm, local, offset, k, &mut rng, &mut levels, &config)
-}
-
-/// Does the tie-broken pair `(value, global index)` lie inside the current
-/// survivor interval?
-fn in_bounds<T: Ord>(v: &T, gi: u64, lower: &Bound<(T, u64)>, upper: &Bound<(T, u64)>) -> bool {
-    let above = match lower {
-        Bound::Unbounded => true,
-        Bound::Included(b) => (v, gi) >= (&b.0, b.1),
-        Bound::Excluded(b) => (v, gi) > (&b.0, b.1),
-    };
-    above
-        && match upper {
-            Bound::Unbounded => true,
-            Bound::Included(b) => (v, gi) <= (&b.0, b.1),
-            Bound::Excluded(b) => (v, gi) < (&b.0, b.1),
-        }
-}
-
-/// The surviving elements of `local` under the current interval, in stable
-/// input order, as borrowed tie-broken pairs — the counts-only recursion's
-/// replacement for the materialised level buffer `s`.
-fn survivors<'a, T: Ord>(
-    local: &'a [T],
-    offset: u64,
-    lower: &'a Bound<(T, u64)>,
-    upper: &'a Bound<(T, u64)>,
-) -> impl Iterator<Item = (&'a T, u64)> {
-    local.iter().enumerate().filter_map(move |(i, v)| {
-        let gi = offset + i as u64;
-        in_bounds(v, gi, lower, upper).then_some((v, gi))
-    })
-}
-
-/// Bernoulli(ρ) sample of the survivor sequence, bit-identical — output
-/// *and* RNG draw sequence — to `bernoulli_sample(&s, rho, rng)` over the
-/// materialised survivor buffer: the skip sampler runs over the survivor
-/// *ordinals* (the exact count is known from the previous level's counting
-/// sweep), and elements are cloned only when sampled.
-fn sample_survivors<T: Ord + Clone>(
-    local: &[T],
-    offset: u64,
-    lower: &Bound<(T, u64)>,
-    upper: &Bound<(T, u64)>,
-    survivor_count: usize,
-    rho: f64,
-    rng: &mut StdRng,
-) -> Vec<(T, u64)> {
-    let mut sampler = BernoulliSampler::new(survivor_count, rho);
-    let mut target = sampler.next_index(rng);
-    let mut out = Vec::with_capacity(((survivor_count as f64) * rho).ceil() as usize + 1);
-    if target.is_none() {
-        return out;
-    }
-    for (ordinal, (v, gi)) in survivors(local, offset, lower, upper).enumerate() {
-        if target == Some(ordinal) {
-            out.push((v.clone(), gi));
-            target = sampler.next_index(rng);
-            if target.is_none() {
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Counts-only core recursion of Algorithm 1: identical communication and
-/// RNG schedule to [`select_recursive`], but the per-level state is just an
-/// interval `(lower, upper]`-style pair of [`Bound`]s over the tie-broken
-/// order plus the local survivor count — no tagged copy of the input, no
-/// per-level `retain`, no cloning of non-`Copy` payloads except onto the
-/// wire.
-fn threshold_recursive<C, T>(
-    comm: &C,
-    local: &[T],
-    offset: u64,
-    mut k: usize,
-    rng: &mut StdRng,
-    levels: &mut usize,
-    config: &UnsortedSelectionConfig,
-) -> T
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
-    let p = comm.size();
-    let mut lower: Bound<(T, u64)> = Bound::Unbounded;
-    let mut upper: Bound<(T, u64)> = Bound::Unbounded;
-    let mut cur_local = local.len();
-    loop {
-        *levels += 1;
-        debug_assert_eq!(survivors(local, offset, &lower, &upper).count(), cur_local);
-        let total = comm.allreduce_sum(cur_local as u64) as usize;
-        debug_assert!(k >= 1 && k <= total);
-
-        if k == 1 {
-            let local_min = survivors(local, offset, &lower, &upper)
-                .min()
-                .map(|(v, gi)| (v.clone(), gi));
-            return global_min(comm, local_min)
-                .expect("k = 1 requires a non-empty input")
-                .0;
-        }
-        if k == total {
-            let local_max = survivors(local, offset, &lower, &upper)
-                .max()
-                .map(|(v, gi)| (v.clone(), gi));
-            return global_max(comm, local_max)
-                .expect("k = total requires a non-empty input")
-                .0;
-        }
-        if total <= config.base_case_size || *levels >= config.max_levels {
-            let mine: Vec<(T, u64)> = survivors(local, offset, &lower, &upper)
-                .map(|(v, gi)| (v.clone(), gi))
-                .collect();
-            let mut all: Vec<(T, u64)> = comm.allgather(mine).into_iter().flatten().collect();
-            all.sort();
-            return all.swap_remove(k - 1).0;
-        }
-
-        // Same sampling schedule as the full path: the skip sampler runs
-        // over the survivor ordinals, so the RNG stream matches
-        // `bernoulli_sample` over the materialised buffer draw for draw.
-        let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-        let sample = loop {
-            let local_sample = sample_survivors(local, offset, &lower, &upper, cur_local, rho, rng);
-            let mut sample: Vec<(T, u64)> =
-                comm.allgather(local_sample).into_iter().flatten().collect();
-            if !sample.is_empty() {
-                sample.sort();
-                break sample;
-            }
-            rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
-        };
-
-        let m = sample.len();
-        let pos = (k as f64 / total as f64) * m as f64;
-        let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-        let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-        let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-        let lo_pivot = sample[lo_idx].clone();
-        let hi_pivot = sample[hi_idx].clone();
-
-        // Counting sweep over the survivor sequence (the counts-only twin of
-        // `partition_three_way_counts`; comparisons only, nothing moves).
-        let (mut la, mut lc) = (0u64, 0u64);
-        for (v, gi) in survivors(local, offset, &lower, &upper) {
-            la += u64::from((v, gi) < (&lo_pivot.0, lo_pivot.1));
-            lc += u64::from((v, gi) > (&hi_pivot.0, hi_pivot.1));
-        }
-        let lb = cur_local as u64 - la - lc;
-        let counts = comm.allreduce_vec_sum(vec![la, lb, lc]);
-        let (na, nb) = (counts[0] as usize, counts[1] as usize);
-
-        // Narrow the *interval* (both pivots lie inside the current bounds,
-        // so plain replacement is the intersection) — the buffer-narrowing
-        // `retain` of the full path becomes two `Bound` assignments.
-        if k <= na {
-            upper = Bound::Excluded(lo_pivot);
-            cur_local = la as usize;
-        } else if k <= na + nb {
-            lower = Bound::Included(lo_pivot);
-            upper = Bound::Included(hi_pivot);
-            if nb != total {
-                k -= na;
-            }
-            cur_local = lb as usize;
-        } else {
-            lower = Bound::Excluded(hi_pivot);
-            k -= na + nb;
-            cur_local = lc as usize;
-        }
-    }
+    select_cut(comm, local, k, seed, &config).0.threshold
 }
 
 /// Select the `k` globally **largest** elements (dual problem, used by the
@@ -357,6 +157,336 @@ where
     let reversed: Vec<std::cmp::Reverse<T>> =
         local.iter().cloned().map(std::cmp::Reverse).collect();
     select_k_smallest(comm, &reversed, k, seed)
+}
+
+/// Where the cut at rank `k` falls.
+struct Cut<T> {
+    /// The value of global rank `k`.
+    threshold: T,
+    /// Which copies of the threshold value lie inside the cut.
+    ties: Ties,
+}
+
+/// Which copies of the threshold value lie inside the cut.
+#[derive(Clone, Copy)]
+enum Ties {
+    /// All of them.
+    All,
+    /// The first `rank` copies in (PE rank, local position) order.  `local`
+    /// is this PE's number of copies and `before` the number on lower-ranked
+    /// PEs, when already known.
+    First {
+        rank: u64,
+        local: u64,
+        before: Option<u64>,
+    },
+}
+
+/// This PE's part of the selected set: every local element below the
+/// threshold plus its share of the threshold's copies.  `E_i`, the copies
+/// on lower-ranked PEs, costs one exclusive prefix sum unless the recursion
+/// already knows it.
+fn resolve_ties<C, T>(comm: &C, local: &[T], cut: &Cut<T>) -> Vec<T>
+where
+    C: Communicator,
+    T: Ord + Clone,
+{
+    let mut take = match cut.ties {
+        Ties::All => u64::MAX,
+        Ties::First {
+            rank,
+            local: mine,
+            before,
+        } => {
+            let before = before.unwrap_or_else(|| comm.prefix_sum_exclusive(mine));
+            rank.saturating_sub(before).min(mine)
+        }
+    };
+    local
+        .iter()
+        .filter(|e| match (*e).cmp(&cut.threshold) {
+            Ordering::Less => true,
+            Ordering::Equal if take > 0 => {
+                take -= 1;
+                true
+            }
+            _ => false,
+        })
+        .cloned()
+        .collect()
+}
+
+/// The part of a level's problem the recursion continues with: the values
+/// strictly inside `(lower, upper)` (`None` = unbounded), among which the
+/// target has rank `k` of `total`; this PE holds `retained` of them.
+struct Narrowing<T> {
+    lower: Option<T>,
+    upper: Option<T>,
+    k: usize,
+    total: usize,
+    retained: usize,
+}
+
+impl<T: Ord> Narrowing<T> {
+    fn keeps(&self, e: &T) -> bool {
+        self.lower.as_ref().is_none_or(|l| l < e) && self.upper.as_ref().is_none_or(|u| e < u)
+    }
+}
+
+/// The global input size, checked against `k`, and this PE's sampling RNG.
+fn start<C: Communicator, T>(comm: &C, local: &[T], k: usize, seed: u64) -> (usize, StdRng) {
+    let total = comm.allreduce_sum(local.len() as u64) as usize;
+    assert!(k >= 1, "k must be at least 1");
+    assert!(k <= total, "k = {k} exceeds the global input size {total}");
+    let rng = StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
+    (total, rng)
+}
+
+/// Does a level with rank `k` of `total` finish without sampling?
+fn finishes(k: usize, total: usize, levels: usize, config: &UnsortedSelectionConfig) -> bool {
+    k == 1 || k == total || total <= config.base_case_size || levels >= config.max_levels
+}
+
+/// Bernoulli rate for an expected total sample of `sample_factor · √p`.
+fn sample_rate(config: &UnsortedSelectionConfig, p: usize, total: usize) -> f64 {
+    (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0)
+}
+
+/// The shortcuts that end the recursion: the extremes need one reduction; a
+/// small remainder (or a runaway recursion) is gathered and solved locally
+/// (volume `O(base_case_size)`, latency `O(log p)`).
+fn finish<C, T>(
+    comm: &C,
+    s: &[T],
+    k: usize,
+    total: usize,
+    levels: usize,
+    config: &UnsortedSelectionConfig,
+) -> Option<Cut<T>>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    if !finishes(k, total, levels, config) {
+        return None;
+    }
+    let copies = |part: &[T], t: &T| part.iter().filter(|e| *e == t).count() as u64;
+    if k == 1 {
+        let t = global_min(comm, s.iter().min().cloned()).expect("k = 1 requires input");
+        let local = copies(s, &t);
+        let ties = Ties::First {
+            rank: 1,
+            local,
+            before: None,
+        };
+        return Some(Cut { threshold: t, ties });
+    }
+    if k == total {
+        let t = global_max(comm, s.iter().max().cloned()).expect("k = total requires input");
+        return Some(Cut {
+            threshold: t,
+            ties: Ties::All,
+        });
+    }
+    // Every copy of the threshold is a survivor, and the gather tells each
+    // PE how many copies the lower-ranked PEs hold.
+    let parts = comm.allgather(s.to_vec());
+    let mut all = parts.concat();
+    let t = all.select_nth_unstable(k - 1).1.clone();
+    let rank = k as u64 - all.iter().filter(|e| **e < t).count() as u64;
+    let me = comm.rank();
+    let before = parts[..me].iter().map(|part| copies(part, &t)).sum();
+    let ties = Ties::First {
+        rank,
+        local: copies(&parts[me], &t),
+        before: Some(before),
+    };
+    Some(Cut { threshold: t, ties })
+}
+
+/// The gathered, sorted, non-empty pivot sample.  The first attempt uses
+/// `pre_drawn` when the previous level's narrowing sweep already drew it;
+/// an empty sample (extremely unlikely unless the remainder is tiny) is
+/// retried with a doubled rate — every PE takes the same branch because the
+/// emptiness test is on the gathered sample.
+fn gather_sample<C, T>(
+    comm: &C,
+    s: &[T],
+    mut rho: f64,
+    mut pre_drawn: Option<Vec<T>>,
+    rng: &mut StdRng,
+) -> Vec<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    loop {
+        let local_sample = pre_drawn
+            .take()
+            .unwrap_or_else(|| bernoulli_sample(s, rho, rng));
+        let mut sample: Vec<T> = comm.allgather(local_sample).into_iter().flatten().collect();
+        if !sample.is_empty() {
+            sample.sort();
+            return sample;
+        }
+        rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
+    }
+}
+
+/// One level after sampling: pick the pivots bracketing rank `k`, count the
+/// five value ranges locally and globally (one all-reduction of 4 words;
+/// the fifth range follows from `total`) and decide where rank `k` falls:
+/// on a pivot value, which ends the recursion, or in a strict range.
+fn level_step<C, T>(
+    comm: &C,
+    s: &[T],
+    sample: Vec<T>,
+    k: usize,
+    total: usize,
+    config: &UnsortedSelectionConfig,
+) -> ControlFlow<Cut<T>, Narrowing<T>>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    let m = sample.len();
+    let pos = (k as f64 / total as f64) * m as f64;
+    let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
+    let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
+    let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
+    let lo = sample[lo_idx].clone();
+    let hi = sample[hi_idx].clone();
+
+    let mine = partition_pivot_counts(s, &lo, &hi);
+    type Counts = (u64, u64, u64, u64);
+    let (below, at_lo, between, at_hi) = comm.allreduce(
+        (
+            mine.below as u64,
+            mine.at_lo as u64,
+            mine.between as u64,
+            mine.at_hi as u64,
+        ),
+        ReduceOp::custom(|a: &Counts, b: &Counts| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)),
+    );
+    let [below, at_lo, between, at_hi] = [below, at_lo, between, at_hi].map(|c| c as usize);
+    let stop = |threshold: T, rank: usize, copies: usize, local: usize| {
+        let ties = if rank == copies {
+            Ties::All
+        } else {
+            Ties::First {
+                rank: rank as u64,
+                local: local as u64,
+                before: None,
+            }
+        };
+        ControlFlow::Break(Cut { threshold, ties })
+    };
+    let go = |lower, upper, k, total, retained| {
+        ControlFlow::Continue(Narrowing {
+            lower,
+            upper,
+            k,
+            total,
+            retained,
+        })
+    };
+    let (to_lo, to_between) = (below + at_lo, below + at_lo + between);
+    let to_hi = to_between + at_hi;
+    if k <= below {
+        go(None, Some(lo), k, below, mine.below)
+    } else if k <= to_lo {
+        stop(lo, k - below, at_lo, mine.at_lo)
+    } else if k <= to_between {
+        go(Some(lo), Some(hi), k - to_lo, between, mine.between)
+    } else if k <= to_hi {
+        stop(hi, k - to_between, at_hi, mine.at_hi)
+    } else {
+        go(Some(hi), None, k - to_hi, total - to_hi, mine.above)
+    }
+}
+
+/// Narrow the survivors to `next`, optionally drawing the next level's
+/// Bernoulli(ρ) sample on the way.  The first narrowing copies the
+/// survivors out of the borrowed input; later ones filter the owned buffer
+/// in place with a stable `retain`, fused with the sampling
+/// ([`bernoulli_sample_retain`]: one sweep instead of narrow-then-sample).
+/// Either way the sample and the RNG draws equal `bernoulli_sample` over
+/// the narrowed buffer.
+fn narrow<T: Ord + Clone>(
+    s: &mut Cow<'_, [T]>,
+    next: &Narrowing<T>,
+    rho: Option<f64>,
+    rng: &mut StdRng,
+) -> Option<Vec<T>> {
+    match s {
+        Cow::Borrowed(input) => {
+            let mut kept = Vec::with_capacity(next.retained);
+            kept.extend(input.iter().filter(|e| next.keeps(e)).cloned());
+            *s = Cow::Owned(kept);
+            rho.map(|rho| bernoulli_sample(s, rho, rng))
+        }
+        Cow::Owned(buf) => match rho {
+            Some(rho) => Some(bernoulli_sample_retain(
+                buf,
+                |e| next.keeps(e),
+                next.retained,
+                rho,
+                rng,
+            )),
+            None => {
+                buf.retain(|e| next.keeps(e));
+                None
+            }
+        },
+    }
+}
+
+/// The recursion of Algorithm 1 on plain values, shared by
+/// [`select_k_smallest`] and [`select_threshold`].
+///
+/// Level 0 reads `local` in place; the first narrowing copies the survivors
+/// into one owned buffer that only ever shrinks.  Each level sweeps the
+/// survivors twice: the branchless five-range count, then the narrowing,
+/// which also pre-draws the next level's sample — the globally agreed
+/// counts fix the next level's total, and with it its sampling rate and
+/// whether it takes a shortcut, before the sweep runs.  The pre-drawn
+/// sample is bit-identical to sampling at the next loop top (pinned by
+/// `fused_level_is_bit_identical_to_the_two_pass_reference` below), so
+/// every message on the wire is too.
+fn select_cut<C, T>(
+    comm: &C,
+    local: &[T],
+    k: usize,
+    seed: u64,
+    config: &UnsortedSelectionConfig,
+) -> (Cut<T>, usize)
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    let p = comm.size();
+    let (mut total, mut rng) = start(comm, local, k, seed);
+    let mut k = k;
+    let mut s = Cow::Borrowed(local);
+    let mut pending_sample = None;
+    let mut levels = 0;
+    loop {
+        levels += 1;
+        if let Some(cut) = finish(comm, &s, k, total, levels, config) {
+            return (cut, levels);
+        }
+        let rho = sample_rate(config, p, total);
+        let sample = gather_sample(comm, &s, rho, pending_sample.take(), &mut rng);
+        let next = match level_step(comm, &s, sample, k, total, config) {
+            ControlFlow::Break(cut) => return (cut, levels),
+            ControlFlow::Continue(next) => next,
+        };
+        let next_rho = (!finishes(next.k, next.total, levels + 1, config))
+            .then(|| sample_rate(config, p, next.total));
+        pending_sample = narrow(&mut s, &next, next_rho, &mut rng);
+        debug_assert_eq!(s.len(), next.retained);
+        (k, total) = (next.k, next.total);
+    }
 }
 
 /// Global minimum over per-PE optional values (`None` = "this PE has no
@@ -382,383 +512,59 @@ fn global_max<C: Communicator, K: Ord + Clone + CommData>(comm: &C, value: Optio
     )
 }
 
-/// Stable in-place narrowing of the level buffer, optionally fused with the
-/// *next* level's Bernoulli sampling: with `rho = Some(ρ)` the survivors
-/// are skip-sampled during the same sweep ([`bernoulli_sample_retain`], one
-/// pass over the buffer instead of narrow-then-sample); with `None` it is a
-/// plain `Vec::retain`.
-fn narrow_level<K, F>(
-    s: &mut Vec<K>,
-    keep: F,
-    retained_len: usize,
-    rho: Option<f64>,
-    rng: &mut StdRng,
-) -> Option<Vec<K>>
-where
-    K: Clone,
-    F: FnMut(&K) -> bool,
-{
-    match rho {
-        Some(rho) => Some(bernoulli_sample_retain(s, keep, retained_len, rho, rng)),
-        None => {
-            s.retain(keep);
-            None
-        }
-    }
-}
-
-/// Core recursion of Algorithm 1 on tie-broken keys.
-///
-/// The remaining local input lives in one owned buffer `s` that only ever
-/// *shrinks*, and each level performs exactly **two sweeps** over it:
-///
-/// 1. a branchless counting pass over the three pivot ranges
-///    ([`partition_three_way_counts`] — two `0/1` comparisons per element,
-///    no data-dependent branches, autovectorized for scalar keys), and
-/// 2. a stable in-place `Vec::retain` narrowing to the range containing
-///    the target rank, **fused with the next level's Bernoulli sampling**:
-///    the globally agreed range counts determine the next level's total
-///    (and hence its sampling rate ρ) before the narrowing runs, so the
-///    skip sampler rides along in the retain sweep instead of re-scanning
-///    the narrowed buffer at the next loop top.
-///
-/// No per-level heap allocation is performed for the data itself — for
-/// `Copy` keys such as `u64` the whole recursion reuses the level-0 buffer.
-/// Because `retain` preserves relative order and the fused sampler consumes
-/// the RNG exactly as sampling the narrowed buffer afterwards would
-/// (pinned by `seqkit::sampling` tests and by
-/// `fused_level_is_bit_identical_to_the_two_pass_reference` below), the
-/// pivot samples — and therefore every message on the wire — are
-/// bit-identical to the PR-3 two-pass implementation.
-fn select_recursive<C, K>(
-    comm: &C,
-    mut s: Vec<K>,
-    mut k: usize,
-    rng: &mut StdRng,
-    levels: &mut usize,
-    config: &UnsortedSelectionConfig,
-) -> K
-where
-    C: Communicator,
-    K: Ord + Clone + CommData,
-{
-    let p = comm.size();
-    // Sample pre-drawn by the previous level's fused narrowing sweep.
-    let mut pending_sample: Option<Vec<K>> = None;
-    loop {
-        *levels += 1;
-        let total = comm.allreduce_sum(s.len() as u64) as usize;
-        debug_assert!(k >= 1 && k <= total);
-
-        // Cheap base cases: the extremes need only a single reduction.
-        // (The previous level predicts these and skips its pre-sampling, so
-        // `pending_sample` is always `None` here.)
-        if k == 1 {
-            return global_min(comm, s.iter().min().cloned())
-                .expect("k = 1 requires a non-empty input");
-        }
-        if k == total {
-            return global_max(comm, s.iter().max().cloned())
-                .expect("k = total requires a non-empty input");
-        }
-        // Small remainder or runaway recursion: gather everything and solve
-        // locally (volume O(base_case_size), latency O(log p)).
-        if total <= config.base_case_size || *levels >= config.max_levels {
-            let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
-            all.sort();
-            return all[k - 1].clone();
-        }
-
-        // Bernoulli sample with expected total size `sample_factor · √p`:
-        // pre-drawn by the previous level's narrowing sweep when possible
-        // (bit-identical to sampling here — same ρ, same buffer order, same
-        // RNG stream), drawn on the spot at level 0 and on retries.
-        let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-        let sample = loop {
-            let local_sample = match pending_sample.take() {
-                Some(pre_drawn) => pre_drawn,
-                None => bernoulli_sample(&s, rho, rng),
-            };
-            let mut sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
-            if !sample.is_empty() {
-                sample.sort();
-                break sample;
-            }
-            // Extremely unlikely unless the remaining input is tiny; retry
-            // with a doubled rate (all PEs take the same branch because the
-            // emptiness test is on the gathered sample).
-            rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
-        };
-
-        // Pivot positions: the sample ranks matching k, bracketed by Δ.
-        let m = sample.len();
-        let pos = (k as f64 / total as f64) * m as f64;
-        let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-        let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-        let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-        let lo_pivot = sample[lo_idx].clone();
-        let hi_pivot = sample[hi_idx].clone();
-
-        // Local three-way range sizes (one branchless counting pass,
-        // nothing moves) and the global range sizes.
-        let (la, lb, lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
-        let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, lc as u64]);
-        let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
-
-        // The next iteration is fully determined by the globally agreed
-        // counts: its rank, its total, and therefore its sampling rate and
-        // whether it takes a base-case shortcut.  (When `nb == total` the
-        // pivots span the whole remaining input — a tiny sample on a highly
-        // concentrated distribution.  Narrowing to the middle range is
-        // never wrong because it contains both pivots, but the rank does
-        // not shift; the `max_levels` cap guarantees termination once the
-        // allowance for such no-progress rounds is used up.)
-        let (next_k, next_total) = if k <= na {
-            (k, na)
-        } else if k <= na + nb {
-            (if nb != total { k - na } else { k }, nb)
-        } else {
-            (k - na - nb, nc)
-        };
-        let takes_base_case = next_k == 1
-            || next_k == next_total
-            || next_total <= config.base_case_size
-            || *levels + 1 >= config.max_levels;
-        // Pre-draw the next level's sample during the narrowing sweep —
-        // one pass instead of narrow-then-sample — unless that level takes
-        // a base case (its sample would never be used).
-        let next_rho = (!takes_base_case).then(|| {
-            (config.sample_factor * (p as f64).sqrt() / next_total as f64).clamp(0.0, 1.0)
-        });
-
-        // Narrow `s` to the range containing rank k: a stable in-place
-        // filter, so the surviving elements keep their relative order and
-        // no new buffer is allocated.
-        if k <= na {
-            pending_sample = narrow_level(&mut s, |e| *e < lo_pivot, la, next_rho, rng);
-            debug_assert_eq!(s.len(), la);
-        } else if k <= na + nb {
-            pending_sample = narrow_level(
-                &mut s,
-                |e| lo_pivot <= *e && *e <= hi_pivot,
-                lb,
-                next_rho,
-                rng,
-            );
-            debug_assert_eq!(s.len(), lb);
-        } else {
-            pending_sample = narrow_level(&mut s, |e| *e > hi_pivot, lc, next_rho, rng);
-            debug_assert_eq!(s.len(), lc);
-        }
-        k = next_k;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{run_spmd, run_spmd_seq};
+    use commsim::{run_spmd, run_spmd_seq, StatsSnapshot};
     use rand::Rng;
 
-    /// The PR-3 two-pass recursion (count, narrow with a plain `retain`,
-    /// sample the narrowed buffer at the next loop top), kept verbatim as
-    /// the reference the fused count-while-sampling level is pinned
-    /// against: identical thresholds, identical selected sets, identical
-    /// recursion depth and — crucially — identical metered traffic.
-    fn select_recursive_two_pass<C, K>(
-        comm: &C,
-        mut s: Vec<K>,
-        mut k: usize,
-        rng: &mut StdRng,
-        levels: &mut usize,
-        config: &UnsortedSelectionConfig,
-    ) -> K
-    where
-        C: Communicator,
-        K: Ord + Clone + CommData,
-    {
-        let p = comm.size();
-        loop {
-            *levels += 1;
-            let total = comm.allreduce_sum(s.len() as u64) as usize;
-            if k == 1 {
-                return global_min(comm, s.iter().min().cloned()).unwrap();
-            }
-            if k == total {
-                return global_max(comm, s.iter().max().cloned()).unwrap();
-            }
-            if total <= config.base_case_size || *levels >= config.max_levels {
-                let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
-                all.sort();
-                return all[k - 1].clone();
-            }
-            let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-            let sample = loop {
-                let local_sample = bernoulli_sample(&s, rho, rng);
-                let mut sample: Vec<K> =
-                    comm.allgather(local_sample).into_iter().flatten().collect();
-                if !sample.is_empty() {
-                    sample.sort();
-                    break sample;
-                }
-                rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
-            };
-            let m = sample.len();
-            let pos = (k as f64 / total as f64) * m as f64;
-            let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-            let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-            let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-            let lo_pivot = sample[lo_idx].clone();
-            let hi_pivot = sample[hi_idx].clone();
-            let (la, lb, _lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
-            let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, _lc as u64]);
-            let (na, nb) = (counts[0] as usize, counts[1] as usize);
-            if k <= na {
-                s.retain(|e| *e < lo_pivot);
-            } else if k <= na + nb {
-                s.retain(|e| lo_pivot <= *e && *e <= hi_pivot);
-                if nb != total {
-                    k -= na;
-                }
-            } else {
-                s.retain(|e| *e > hi_pivot);
-                k -= na + nb;
-            }
-        }
+    /// Run `f`, returning its result and the traffic this PE metered.
+    fn metered<C: Communicator, R>(comm: &C, f: impl FnOnce() -> R) -> (R, StatsSnapshot) {
+        let before = comm.stats_snapshot();
+        let r = f();
+        (r, comm.stats_snapshot().since(&before))
     }
 
-    /// `select_k_smallest_with` rebuilt on the two-pass reference recursion.
-    fn select_k_smallest_two_pass<C, T>(
+    /// The two-pass recursion (count, narrow a copy of the input with a
+    /// plain `retain`, sample the narrowed buffer at the next loop top): the
+    /// reference the fused narrowing-and-sampling sweep of [`select_cut`]
+    /// is pinned against.
+    fn select_cut_two_pass<C, T>(
         comm: &C,
         local: &[T],
         k: usize,
         seed: u64,
-        config: UnsortedSelectionConfig,
-    ) -> UnsortedSelectionResult<T>
+        config: &UnsortedSelectionConfig,
+    ) -> (Cut<T>, usize)
     where
         C: Communicator,
         T: Ord + Clone + CommData,
     {
-        // Mirror the real entry point's up-front size check so the metered
-        // traffic of the two variants is comparable one-to-one.
-        let total = comm.allreduce_sum(local.len() as u64) as usize;
-        assert!(k >= 1 && k <= total);
-        let offset = comm.prefix_sum_exclusive(local.len() as u64);
-        let tagged = crate::util::tag_unique(local, offset);
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let mut levels = 0usize;
-        let threshold_tagged =
-            select_recursive_two_pass(comm, tagged, k, &mut rng, &mut levels, &config);
-        let local_selected: Vec<T> = local
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold_tagged.0, threshold_tagged.1))
-            .map(|(_, v)| v.clone())
-            .collect();
-        UnsortedSelectionResult {
-            threshold: threshold_tagged.0,
-            local_selected,
-            recursion_levels: levels,
-        }
-    }
-
-    /// The fused count-while-sampling level must leave everything the
-    /// driver can observe — threshold, selected sets, recursion depth and
-    /// per-PE metered words/messages (the fig6 words/PE columns) —
-    /// bit-identical to the PR-3 two-pass implementation, across input
-    /// shapes, PE counts, ranks and seeds.
-    #[test]
-    fn fused_level_is_bit_identical_to_the_two_pass_reference() {
-        // Small base case so the recursion actually runs several fused
-        // levels instead of short-circuiting into the gather.
-        let config = UnsortedSelectionConfig {
-            base_case_size: 64,
-            ..UnsortedSelectionConfig::default()
-        };
-        let shapes: Vec<(&str, Vec<Vec<u64>>)> = vec![
-            ("uniform", random_parts(4, 2000, 1 << 40, 11)),
-            ("dupes", random_parts(3, 1500, 7, 23)),
-            (
-                "skewed",
-                (0..4)
-                    .map(|r| {
-                        if r == 0 {
-                            (0..3000u64).collect()
-                        } else {
-                            (1_000_000..1_001_000u64).collect()
-                        }
-                    })
-                    .collect(),
-            ),
-        ];
-        for (name, parts) in shapes {
-            let n: usize = parts.iter().map(Vec::len).sum();
-            let p = parts.len();
-            for k in [2usize, n / 3, n / 2, n - 1] {
-                for seed in [1u64, 99] {
-                    let parts_a = parts.clone();
-                    let fused = run_spmd_seq(p, move |comm| {
-                        let before = comm.stats_snapshot();
-                        let r =
-                            select_k_smallest_with(comm, &parts_a[comm.rank()], k, seed, config);
-                        (r, comm.stats_snapshot().since(&before))
-                    });
-                    let parts_b = parts.clone();
-                    let two_pass = run_spmd_seq(p, move |comm| {
-                        let before = comm.stats_snapshot();
-                        let r = select_k_smallest_two_pass(
-                            comm,
-                            &parts_b[comm.rank()],
-                            k,
-                            seed,
-                            config,
-                        );
-                        (r, comm.stats_snapshot().since(&before))
-                    });
-                    for ((f, fs), (t, ts)) in fused.results.iter().zip(two_pass.results.iter()) {
-                        assert_eq!(f.threshold, t.threshold, "{name} k={k} seed={seed}");
-                        assert_eq!(
-                            f.local_selected, t.local_selected,
-                            "{name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            f.recursion_levels, t.recursion_levels,
-                            "{name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            fs.sent_words, ts.sent_words,
-                            "metered words diverged: {name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            fs.sent_messages, ts.sent_messages,
-                            "metered messages diverged: {name} k={k} seed={seed}"
-                        );
-                    }
-                    assert_eq!(
-                        fused.stats.bottleneck_words(),
-                        two_pass.stats.bottleneck_words(),
-                        "{name} k={k} seed={seed}"
-                    );
+        let (mut total, mut rng) = start(comm, local, k, seed);
+        let mut k = k;
+        let mut s = local.to_vec();
+        let mut levels = 0;
+        loop {
+            levels += 1;
+            if let Some(cut) = finish(comm, &s, k, total, levels, config) {
+                return (cut, levels);
+            }
+            let rho = sample_rate(config, comm.size(), total);
+            let sample = gather_sample(comm, &s, rho, None, &mut rng);
+            match level_step(comm, &s, sample, k, total, config) {
+                ControlFlow::Break(cut) => return (cut, levels),
+                ControlFlow::Continue(next) => {
+                    s.retain(|e| next.keeps(e));
+                    (k, total) = (next.k, next.total);
                 }
             }
         }
     }
 
-    /// The counts-only threshold path must leave everything the driver can
-    /// observe — threshold and per-PE metered words/messages — bit-identical
-    /// to the full `select_k_smallest` path with the same arguments, across
-    /// input shapes, PE counts, ranks and seeds (the RNG streams overlap in
-    /// full, so the wire traffic must too).
-    #[test]
-    fn threshold_only_path_is_bit_identical_to_the_full_path() {
-        let config = UnsortedSelectionConfig {
-            base_case_size: 64,
-            ..UnsortedSelectionConfig::default()
-        };
-        let shapes: Vec<(&str, Vec<Vec<u64>>)> = vec![
-            ("uniform", random_parts(4, 2000, 1 << 40, 17)),
-            ("dupes", random_parts(3, 1500, 7, 29)),
+    fn test_shapes(seed: u64) -> Vec<(&'static str, Vec<Vec<u64>>)> {
+        vec![
+            ("uniform", random_parts(4, 2000, 1 << 40, seed)),
+            ("dupes", random_parts(3, 1500, 7, seed + 12)),
             (
                 "skewed",
                 (0..4)
@@ -775,49 +581,166 @@ mod tests {
                 "empty_pe",
                 vec![vec![], (0..2000).collect(), vec![], (2000..4000).collect()],
             ),
-        ];
-        for (name, parts) in shapes {
+        ]
+    }
+
+    /// The fused narrowing-and-sampling sweep must leave everything the
+    /// driver can observe — threshold, selected sets, recursion depth and
+    /// per-PE metered words/messages (the fig6 words/PE columns) —
+    /// bit-identical to the two-pass recursion, across input shapes, PE
+    /// counts, ranks and seeds.
+    #[test]
+    fn fused_level_is_bit_identical_to_the_two_pass_reference() {
+        // Small base case so the recursion actually runs several fused
+        // levels instead of short-circuiting into the gather.
+        let config = UnsortedSelectionConfig {
+            base_case_size: 64,
+            ..UnsortedSelectionConfig::default()
+        };
+        for (name, parts) in test_shapes(11) {
             let n: usize = parts.iter().map(Vec::len).sum();
             let p = parts.len();
-            for k in [1usize, 2, n / 3, n / 2, n - 1, n] {
+            for k in [2usize, n / 3, n / 2, n - 1] {
                 for seed in [1u64, 99] {
                     let parts_a = parts.clone();
-                    let full = run_spmd_seq(p, move |comm| {
-                        let before = comm.stats_snapshot();
-                        let r =
-                            select_k_smallest_with(comm, &parts_a[comm.rank()], k, seed, config);
-                        (r.threshold, comm.stats_snapshot().since(&before))
+                    let fused = run_spmd_seq(p, move |comm| {
+                        let local = &parts_a[comm.rank()];
+                        metered(comm, || {
+                            select_k_smallest_with(comm, local, k, seed, config)
+                        })
                     });
                     let parts_b = parts.clone();
-                    let thresh = run_spmd_seq(p, move |comm| {
-                        let before = comm.stats_snapshot();
-                        let t = select_threshold_with(comm, &parts_b[comm.rank()], k, seed, config);
-                        (t, comm.stats_snapshot().since(&before))
+                    let two_pass = run_spmd_seq(p, move |comm| {
+                        let local = &parts_b[comm.rank()];
+                        metered(comm, || {
+                            let (cut, levels) = select_cut_two_pass(comm, local, k, seed, &config);
+                            (resolve_ties(comm, local, &cut), cut.threshold, levels)
+                        })
                     });
-                    for ((ft, fs), (tt, ts)) in full.results.iter().zip(thresh.results.iter()) {
-                        assert_eq!(ft, tt, "{name} k={k} seed={seed}");
-                        assert_eq!(
-                            fs.sent_words, ts.sent_words,
-                            "metered words diverged: {name} k={k} seed={seed}"
-                        );
+                    let case = format!("{name} k={k} seed={seed}");
+                    for ((f, fs), ((sel, t, levels), ts)) in
+                        fused.results.iter().zip(two_pass.results.iter())
+                    {
+                        assert_eq!(f.threshold, *t, "{case}");
+                        assert_eq!(f.local_selected, *sel, "{case}");
+                        assert_eq!(f.recursion_levels, *levels, "{case}");
+                        assert_eq!(fs.sent_words, ts.sent_words, "words diverged: {case}");
                         assert_eq!(
                             fs.sent_messages, ts.sent_messages,
-                            "metered messages diverged: {name} k={k} seed={seed}"
+                            "messages diverged: {case}"
                         );
                     }
                     assert_eq!(
-                        full.stats.bottleneck_words(),
-                        thresh.stats.bottleneck_words(),
-                        "{name} k={k} seed={seed}"
+                        fused.stats.bottleneck_words(),
+                        two_pass.stats.bottleneck_words(),
+                        "{case}"
                     );
                 }
             }
         }
     }
 
-    /// The counts-only path on its own against the brute-force oracle,
-    /// including duplicate-heavy input (the interval bounds must tie-break
-    /// correctly on global indices).
+    /// The threshold-only path runs the same recursion as the full path and
+    /// skips only the tie resolution: identical thresholds, and per PE the
+    /// full path's words and messages are exactly the threshold path's plus
+    /// the tie-resolution step's, each metered on its own.
+    #[test]
+    fn threshold_only_path_is_the_full_path_minus_tie_resolution() {
+        let config = UnsortedSelectionConfig {
+            base_case_size: 64,
+            ..UnsortedSelectionConfig::default()
+        };
+        let mut metered_tie_steps = 0;
+        for (name, parts) in test_shapes(17) {
+            let n: usize = parts.iter().map(Vec::len).sum();
+            let p = parts.len();
+            for k in [1usize, 2, n / 3, n / 2, n - 1, n] {
+                for seed in [1u64, 99] {
+                    let parts_a = parts.clone();
+                    let full = run_spmd_seq(p, move |comm| {
+                        let local = &parts_a[comm.rank()];
+                        metered(comm, || {
+                            select_k_smallest_with(comm, local, k, seed, config)
+                        })
+                    });
+                    let parts_b = parts.clone();
+                    let thresh = run_spmd_seq(p, move |comm| {
+                        let local = &parts_b[comm.rank()];
+                        let (t, stats) =
+                            metered(comm, || select_threshold_with(comm, local, k, seed, config));
+                        let (cut, _) = select_cut(comm, local, k, seed, &config);
+                        let (_, tie_step) = metered(comm, || resolve_ties(comm, local, &cut));
+                        (t, stats, tie_step)
+                    });
+                    let case = format!("{name} k={k} seed={seed}");
+                    for ((f, fs), (t, ts, tie)) in full.results.iter().zip(thresh.results.iter()) {
+                        assert_eq!(f.threshold, *t, "{case}");
+                        assert_eq!(
+                            fs.sent_words,
+                            ts.sent_words + tie.sent_words,
+                            "words diverged: {case}"
+                        );
+                        assert_eq!(
+                            fs.sent_messages,
+                            ts.sent_messages + tie.sent_messages,
+                            "messages diverged: {case}"
+                        );
+                    }
+                    if thresh.results.iter().any(|r| r.2.sent_messages > 0) {
+                        metered_tie_steps += 1;
+                    }
+                }
+            }
+        }
+        assert!(metered_tie_steps > 0, "no case paid for a tie resolution");
+    }
+
+    /// Each level either stops or drops the pivot values, so inputs made of
+    /// one or two distinct values finish within three levels even when the
+    /// base case would take a single element — well before the
+    /// `max_levels` full-gather fallback.
+    #[test]
+    fn duplicate_only_inputs_finish_within_three_levels() {
+        let config = UnsortedSelectionConfig {
+            base_case_size: 1,
+            max_levels: 4,
+            ..UnsortedSelectionConfig::default()
+        };
+        let shapes: Vec<Vec<Vec<u64>>> = vec![
+            vec![vec![7; 100], vec![7; 100], vec![7; 100]],
+            vec![[3, 9].repeat(50), vec![9; 80], vec![], vec![3; 70]],
+            vec![vec![5; 40], vec![2; 1]],
+        ];
+        for parts in shapes {
+            let n: usize = parts.iter().map(Vec::len).sum();
+            let sorted = {
+                let mut all: Vec<u64> = parts.concat();
+                all.sort_unstable();
+                all
+            };
+            let low_run = sorted.iter().filter(|&&v| v == sorted[0]).count();
+            for k in [1, 2, low_run - 1, low_run, low_run + 1, n / 2, n - 1, n] {
+                if k == 0 || k > n {
+                    continue;
+                }
+                for seed in [1u64, 2, 3] {
+                    let parts_ref = parts.clone();
+                    let out = run_spmd_seq(parts.len(), move |comm| {
+                        select_k_smallest_with(comm, &parts_ref[comm.rank()], k, seed, config)
+                    });
+                    for r in &out.results {
+                        assert!(r.recursion_levels <= 3, "k={k} seed={seed}: {r:?}");
+                        assert_eq!(r.threshold, sorted[k - 1], "k={k} seed={seed}");
+                    }
+                    let selected: usize = out.results.iter().map(|r| r.local_selected.len()).sum();
+                    assert_eq!(selected, k, "k={k} seed={seed}");
+                }
+            }
+        }
+    }
+
+    /// The threshold-only path on its own against the brute-force oracle,
+    /// including duplicate-heavy input.
     #[test]
     fn threshold_only_path_selects_correct_thresholds() {
         for p in [1usize, 3, 5] {

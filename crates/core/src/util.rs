@@ -69,21 +69,6 @@ pub fn owner_of(key: u64, p: usize) -> usize {
     (splitmix64(key) % p as u64) as usize
 }
 
-/// Tag a local element with a globally unique identifier
-/// `(element, global_index)` so that the total order becomes unique, as the
-/// paper assumes without loss of generality ("we can make the value v of
-/// object x unique by replacing it by the pair (v, x)").
-///
-/// `global_offset` is the global index of this PE's first element (usually an
-/// exclusive prefix sum of the local sizes).
-pub fn tag_unique<T: Clone>(local: &[T], global_offset: u64) -> Vec<(T, u64)> {
-    local
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (x.clone(), global_offset + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,14 +135,5 @@ mod tests {
             assert!(o < 5);
             assert_eq!(o, owner_of(key, 5));
         }
-    }
-
-    #[test]
-    fn unique_tagging_preserves_values_and_is_unique() {
-        let tagged = tag_unique(&[7u64, 7, 7], 100);
-        assert_eq!(tagged, vec![(7, 100), (7, 101), (7, 102)]);
-        let mut ids: Vec<u64> = tagged.iter().map(|&(_, id)| id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), 3);
     }
 }

@@ -50,8 +50,8 @@ pub use heavy_hitters::{MisraGries, SpaceSaving};
 pub use intern::Interner;
 pub use sampling::{bernoulli_sample, geometric_deviate, BernoulliSampler};
 pub use select::{
-    floyd_rivest_select, partition_three_way, partition_three_way_counts,
-    partition_three_way_in_place, quickselect, select_kth_smallest,
+    floyd_rivest_select, partition_pivot_counts, partition_three_way, partition_three_way_counts,
+    partition_three_way_in_place, quickselect, select_kth_smallest, PivotCounts,
 };
 pub use skew::{expected_distinct, fit_zipf_exponent, SkewFit};
 pub use sorted::{merge_sorted, rank_in_sorted, select_in_sorted_union};

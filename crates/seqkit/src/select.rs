@@ -244,6 +244,61 @@ pub fn partition_three_way_counts<T: Ord>(
     (a, data.len() - a - c, c)
 }
 
+/// Sizes of the five value ranges a pivot pair `(ℓ, r)` with `ℓ ≤ r` cuts
+/// its input into, as counted by [`partition_pivot_counts`].  They sum to
+/// the input length.  When `ℓ == r` the pivot value is counted once, in
+/// `at_lo`, and `between` and `at_hi` are zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PivotCounts {
+    /// `e < ℓ`.
+    pub below: usize,
+    /// `e == ℓ`.
+    pub at_lo: usize,
+    /// `ℓ < e < r`.
+    pub between: usize,
+    /// `e == r` (zero when `ℓ == r`).
+    pub at_hi: usize,
+    /// `e > r`.
+    pub above: usize,
+}
+
+/// Counts of `e < ℓ`, `e == ℓ`, `ℓ < e < r`, `e == r` and `e > r` in one
+/// sweep, without moving, cloning, or allocating anything.
+///
+/// This is the counting kernel of the distributed unsorted selection on
+/// plain values: counting the pivot values separately lets a level stop as
+/// soon as the target rank falls on a pivot value, and narrow to a strict
+/// range otherwise, so duplicate values can never stall the recursion.
+///
+/// Branchless like [`partition_three_way_counts`]: each element adds four
+/// `0/1` comparison results (`e < ℓ`, `e ≤ ℓ`, `e < r`, `e ≤ r`) to running
+/// totals, and the five range sizes are their differences.
+pub fn partition_pivot_counts<T: Ord>(data: &[T], lo_pivot: &T, hi_pivot: &T) -> PivotCounts {
+    debug_assert!(lo_pivot <= hi_pivot);
+    let (mut lt_lo, mut le_lo, mut lt_hi, mut le_hi) = (0usize, 0usize, 0usize, 0usize);
+    for e in data {
+        lt_lo += usize::from(e < lo_pivot);
+        le_lo += usize::from(e <= lo_pivot);
+        lt_hi += usize::from(e < hi_pivot);
+        le_hi += usize::from(e <= hi_pivot);
+    }
+    if lo_pivot == hi_pivot {
+        return PivotCounts {
+            below: lt_lo,
+            at_lo: le_lo - lt_lo,
+            above: data.len() - le_lo,
+            ..PivotCounts::default()
+        };
+    }
+    PivotCounts {
+        below: lt_lo,
+        at_lo: le_lo - lt_lo,
+        between: lt_hi - le_lo,
+        at_hi: le_hi - lt_hi,
+        above: data.len() - le_hi,
+    }
+}
+
 /// The pre-optimisation counting kernel: one data-dependent three-way
 /// branch per element.
 ///
@@ -276,6 +331,8 @@ pub fn partition_three_way_counts_branchy<T: Ord>(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -474,6 +531,34 @@ mod tests {
                     (a.len(), b.len(), c.len()),
                     "n={n} pivots=({lo},{hi})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pivot_counts_match_a_per_element_classification() {
+        let mut r = rng();
+        for n in (0usize..=9).chain([100, 1025]) {
+            let uniform: Vec<u64> = (0..n).map(|_| r.gen_range(0..20)).collect();
+            let dupes: Vec<u64> = (0..n).map(|_| r.gen_range(0..3)).collect();
+            for data in [&uniform, &dupes] {
+                for (lo, hi) in [(0u64, 19u64), (1, 1), (3, 15), (2, 2), (0, 1), (25, 30)] {
+                    let mut want = PivotCounts::default();
+                    for &e in data.iter() {
+                        match (e.cmp(&lo), e.cmp(&hi)) {
+                            (Ordering::Less, _) => want.below += 1,
+                            (Ordering::Equal, _) => want.at_lo += 1,
+                            (_, Ordering::Less) => want.between += 1,
+                            (_, Ordering::Equal) => want.at_hi += 1,
+                            _ => want.above += 1,
+                        }
+                    }
+                    assert_eq!(
+                        partition_pivot_counts(data, &lo, &hi),
+                        want,
+                        "n={n} pivots=({lo},{hi})"
+                    );
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
 //! periodically **refreshes a published global top-k** with the paper's §6
 //! machinery: per-PE window candidates are DHT-aggregated
 //! ([`topk::frequent::dht::aggregate_counts`]) and the global cut is made by
-//! the counts-only [`topk::select_threshold`] kernel.  Point queries
+//! the threshold-only [`topk::select_threshold`] kernel.  Point queries
 //! ("current top-k", "count of X") are answered *between* batches from the
 //! last published snapshot — exactly how a serving system trades freshness
 //! for communication.

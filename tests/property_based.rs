@@ -114,6 +114,32 @@ fn sorted_union(parts: &[Vec<u64>]) -> Vec<u64> {
     all
 }
 
+/// Brute force: each PE's part of the first `k` elements under the order
+/// (value, PE rank, local position), in local order.
+fn first_k_in_rank_order(parts: &[Vec<u64>], k: usize) -> Vec<Vec<u64>> {
+    let mut order: Vec<(u64, usize, usize)> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(pe, part)| part.iter().enumerate().map(move |(i, &v)| (v, pe, i)))
+        .collect();
+    order.sort_unstable();
+    let mut chosen: Vec<Vec<bool>> = parts.iter().map(|part| vec![false; part.len()]).collect();
+    for &(_, pe, i) in &order[..k] {
+        chosen[pe][i] = true;
+    }
+    parts
+        .iter()
+        .zip(&chosen)
+        .map(|(part, keep)| {
+            part.iter()
+                .zip(keep)
+                .filter(|(_, &keep)| keep)
+                .map(|(&v, _)| v)
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -135,6 +161,51 @@ proptest! {
         prop_assert!(out.results.iter().all(|r| r.threshold == reference[k - 1]));
         let selected: usize = out.results.iter().map(|r| r.local_selected.len()).sum();
         prop_assert_eq!(selected, k);
+    }
+
+    /// Ties on duplicate-heavy input, some PEs empty: on all three backends
+    /// each PE selects exactly its part of the first `k` elements under the
+    /// order (value, PE rank, local position), for `k` on every boundary of
+    /// an equal-value run.
+    #[test]
+    fn unsorted_selection_cuts_equal_value_runs_in_rank_order(
+        parts in vec(vec(0u64..4, 0..40), 1..6),
+        seed in 0u64..1000,
+    ) {
+        let n = total_len(&parts);
+        prop_assume!(n > 0);
+        let reference = sorted_union(&parts);
+        // 1-based ranks: a run ends at rank i + 1 where reference[i] differs
+        // from reference[i + 1]; cut just before, on and after both ends.
+        let mut ks = vec![1, 2, n - 1, n];
+        for i in 0..n - 1 {
+            if reference[i] != reference[i + 1] {
+                ks.extend([i, i + 1, i + 2, i + 3]);
+            }
+        }
+        ks.retain(|&k| (1..=n).contains(&k));
+        ks.sort_unstable();
+        ks.dedup();
+        let p = parts.len();
+        for k in ks {
+            let expected = first_k_in_rank_order(&parts, k);
+            let parts_a = parts.clone();
+            let threaded = run_spmd(p, move |comm| {
+                select_k_smallest(comm, &parts_a[comm.rank()], k, seed).local_selected
+            });
+            let parts_b = parts.clone();
+            let sequential = run_spmd_seq(p, move |comm| {
+                select_k_smallest(comm, &parts_b[comm.rank()], k, seed).local_selected
+            });
+            let parts_c = parts.clone();
+            let muxed = topk_selection::commsim::run_spmd_mux(p, move |comm| {
+                select_k_smallest(comm, &parts_c[comm.rank()], k, seed).local_selected
+            });
+            for selected in [&threaded.results, &sequential.results, &muxed.results] {
+                prop_assert_eq!(selected, &expected, "k = {}", k);
+                prop_assert_eq!(selected.iter().map(Vec::len).sum::<usize>(), k);
+            }
+        }
     }
 
     #[test]

@@ -17,26 +17,42 @@
 //! *count* or in per-pair header *bytes* — fails this test no matter how
 //! it is implemented.
 //!
+//! The counters are per thread: the test harness runs the tests on
+//! parallel threads, and process-wide counters let a neighbouring test's
+//! allocations leak into a measurement.  Everything measured here runs on
+//! the measuring thread — construction, and the first send of a pair,
+//! which materialises its queue on the sender's thread.
+//!
 //! The counting `#[global_allocator]` needs `unsafe`; the workspace denies
 //! it by default, so this one test crate opts out explicitly.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use topk_selection::commsim::transport::Mailbox;
 
 /// Forwards to the system allocator, counting every `alloc` call and the
-/// bytes it requests.
+/// bytes it requests on the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `(allocation count, bytes)` requested by this thread so far.
+    static ALLOCATED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// This thread's `(allocation count, bytes)` so far.
+fn allocated() -> (usize, usize) {
+    ALLOCATED.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // `try_with`: the slot may be gone while the thread shuts down.
+        let _ = ALLOCATED.try_with(|a| {
+            let (count, bytes) = a.get();
+            a.set((count + 1, bytes + layout.size()));
+        });
         unsafe { System.alloc(layout) }
     }
 
@@ -51,13 +67,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// `(allocation count, bytes)` requested while constructing (not dropping)
 /// a `p`-PE world.
 fn construction_cost(p: usize) -> (usize, usize) {
-    let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let (count_before, bytes_before) = allocated();
     let boxes = Mailbox::full_mesh(p);
-    let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let (count, bytes) = allocated();
     drop(boxes);
-    (count, bytes)
+    (count - count_before, bytes - bytes_before)
 }
 
 #[test]
@@ -113,22 +127,22 @@ fn queue_heap_is_deferred_to_the_first_send() {
 
     let _ = construction_cost(2);
     let boxes = Mailbox::full_mesh(8);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated().0;
     // First message of the pair (0, 1): installs that queue (header +
     // first segment + envelope internals) — allocation happens *now*, not
     // at construction.
     boxes[0]
         .send(1, Envelope::new(0, 0, 7u64))
         .expect("send to live peer");
-    let first = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let first = allocated().0 - before;
     assert!(first > 0, "first send of a pair must materialise its queue");
     // Steady state: the second message reuses the installed queue; it may
     // allocate envelope internals but not another queue's worth of state.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated().0;
     boxes[0]
         .send(1, Envelope::new(1, 0, 7u64))
         .expect("send to live peer");
-    let second = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let second = allocated().0 - before;
     assert!(
         second < first,
         "second send ({second} allocations) should be cheaper than the \
